@@ -66,7 +66,7 @@ pub use config::{AsConfig, AsConfigBuilder, ResetPolicy, RestartPolicy};
 pub use costas_model::{CostasModelConfig, CostasProblem};
 pub use engine::{Engine, EngineSnapshot, InjectOutcome, SnapshotError, StepOutcome};
 pub use fault::{Fault, FaultPlan, FaultyProblem};
-pub use multi_restart::{solve_costas, solve_with_restarts, SequentialDriver};
+pub use multi_restart::{solve_costas, SequentialDriver};
 pub use problem::PermutationProblem;
 pub use problems::{DynProblem, ProblemInfo};
 pub use request::{RequestError, SolveOutcome, SolveRequest, Termination};

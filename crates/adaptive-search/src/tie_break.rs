@@ -11,8 +11,7 @@
 //! every later decision of the walk.
 //!
 //! [`TieBreak`] is that pattern as a reusable accumulator; [`pick_uniform`] is the
-//! final draw alone, for callers (like the engine's culprit selection) that
-//! maintain their tie set incrementally.
+//! final draw alone, for callers that maintain their tie set incrementally.
 
 use xrand::{RandExt, Rng64};
 

@@ -24,8 +24,9 @@
 //! `BENCH_dev.json` tracks both the scaling shape and the raw probe-path speed.
 //! Schema v3 keeps every v2 field byte-compatible (steps/sec stays directly
 //! comparable across artefacts) and extends each throughput entry with the
-//! `culprit_scans` / `culprit_fast_selects` selection-path counters introduced by
-//! the error-maintenance layer.  Schema v4 changes no field either: the
+//! `culprit_scans` selection counter introduced by the error-maintenance layer
+//! (older documents also carry a second, now unchecked, counter for a removed
+//! selection path).  Schema v4 changes no field either: the
 //! throughput section is now driven by the problem registry
 //! ([`adaptive_search::problems`]), so it covers all six registered workloads —
 //! the four seed models plus `langford` and `number-partitioning` — and grows

@@ -7,8 +7,8 @@
 //! steps/sec reflects both layers the incremental-evaluation work targets: the
 //! read-only batched probe *and* the error-maintenance layer behind selection
 //! (selection reads the model's maintained error vector instead of recomputing an
-//! O(n·d_max) sweep; the per-sample `culprit_scans` / `culprit_fast_selects`
-//! counters expose which selection path served the run).  Instances are sized so
+//! O(n·d_max) sweep; the per-sample `culprit_scans` counter counts the
+//! selections).  Instances are sized so
 //! the walk keeps probing (hard enough not to solve instantly); when a walk does
 //! solve, the engine is restarted and measurement continues.
 
@@ -46,8 +46,6 @@ pub struct ThroughputSample {
     /// Full culprit-selection scans performed (selection now reads the model's
     /// incrementally maintained error vector; this counts the O(n) tie scans).
     pub culprit_scans: u64,
-    /// Selections served by the engine's carried tie set without a rescan.
-    pub culprit_fast_selects: u64,
     /// Raw probe latency in ns — one batched `probe_partners` call on an
     /// equilibrium-walked table (the reference path when `accelerated` is
     /// false).  Only measured for large-n cells; engine steps/sec above is
@@ -68,10 +66,6 @@ impl ThroughputSample {
             ("steps_per_sec", Json::from(self.steps_per_sec)),
             ("solves", Json::from(self.solves)),
             ("culprit_scans", Json::from(self.culprit_scans)),
-            (
-                "culprit_fast_selects",
-                Json::from(self.culprit_fast_selects),
-            ),
         ];
         if let Some(ns) = self.probe_ns {
             fields.push(("probe_ns", Json::from(ns)));
@@ -109,7 +103,6 @@ pub fn engine_throughput<P: PermutationProblem>(
         steps_per_sec: steps as f64 / seconds.max(f64::MIN_POSITIVE),
         solves,
         culprit_scans: engine.stats().culprit_scans,
-        culprit_fast_selects: engine.stats().culprit_fast_selects,
         probe_ns: None,
     }
 }
@@ -241,7 +234,6 @@ mod tests {
         assert!(rendered.contains("\"steps_per_sec\":"), "{rendered}");
         assert!(rendered.contains("\"model\":\"costas\""), "{rendered}");
         assert!(rendered.contains("\"culprit_scans\":"), "{rendered}");
-        assert!(rendered.contains("\"culprit_fast_selects\":"), "{rendered}");
         assert!(rendered.contains("\"accelerated\":true"), "{rendered}");
     }
 
@@ -276,8 +268,8 @@ mod tests {
             3,
             500,
         );
-        // every iteration that reached selection did a scan or a fast select
+        // every iteration that reached selection did one scan
         assert!(s.culprit_scans > 0);
-        assert!(s.culprit_scans + s.culprit_fast_selects <= 500);
+        assert!(s.culprit_scans <= 500);
     }
 }

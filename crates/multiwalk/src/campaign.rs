@@ -7,7 +7,7 @@
 //!
 //! * **Checkpointing** — after each round the full campaign state (per-walker
 //!   [`EngineSnapshot`]: RNG words, configurations, statistics, Tabu horizons,
-//!   carried selection cache) is serialized with [`runtime_stats::json`] into a
+//!   restart flags) is serialized with [`runtime_stats::json`] into a
 //!   single hash-framed record and written atomically (temp file + rename, with the
 //!   previous checkpoint rotated to a `.prev` file first).
 //! * **Resume** — [`Campaign::open`] restores from the newest valid checkpoint and
@@ -44,7 +44,7 @@ use runtime_stats::Json;
 use crate::walker::WalkSpec;
 
 /// Version tag of the checkpoint payload; bumped on any incompatible layout change.
-pub const CHECKPOINT_SCHEMA: &str = "campaign_checkpoint/v1";
+pub const CHECKPOINT_SCHEMA: &str = "campaign_checkpoint/v2";
 /// Version tag of the artifact section emitted by [`Campaign::artifact_section`].
 pub const ARTIFACT_SCHEMA: &str = "campaign/v1";
 
@@ -401,7 +401,7 @@ impl CampaignSpec {
 // Snapshot (de)serialization
 // ---------------------------------------------------------------------------
 
-const STATS_FIELDS: [&str; 15] = [
+const STATS_FIELDS: [&str; 14] = [
     "iterations",
     "local_minima",
     "improving_moves",
@@ -416,7 +416,6 @@ const STATS_FIELDS: [&str; 15] = [
     "injections_adopted",
     "stop_checks",
     "culprit_scans",
-    "culprit_fast_selects",
 ];
 
 fn stats_to_json(s: &SearchStats) -> Json {
@@ -435,7 +434,6 @@ fn stats_to_json(s: &SearchStats) -> Json {
         ("injections_adopted", s.injections_adopted),
         ("stop_checks", s.stop_checks),
         ("culprit_scans", s.culprit_scans),
-        ("culprit_fast_selects", s.culprit_fast_selects),
     ])
 }
 
@@ -510,11 +508,10 @@ fn stats_from_json(value: &Json, context: &str) -> Result<SearchStats, CampaignE
         injections_adopted: get_u64(value, "injections_adopted", context)?,
         stop_checks: get_u64(value, "stop_checks", context)?,
         culprit_scans: get_u64(value, "culprit_scans", context)?,
-        culprit_fast_selects: get_u64(value, "culprit_fast_selects", context)?,
     })
 }
 
-const SNAPSHOT_FIELDS: [&str; 15] = [
+const SNAPSHOT_FIELDS: [&str; 9] = [
     "rng",
     "configuration",
     "stats",
@@ -524,12 +521,6 @@ const SNAPSHOT_FIELDS: [&str; 15] = [
     "marked_since_reset",
     "restart_pending",
     "tabu_horizons",
-    "freeze_log",
-    "select_cache_valid",
-    "select_cache_now",
-    "culprit_best_err",
-    "culprit_ties",
-    "errors",
 ];
 
 fn snapshot_to_json(s: &EngineSnapshot) -> Json {
@@ -556,32 +547,6 @@ fn snapshot_to_json(s: &EngineSnapshot) -> Json {
                 "tabu_horizons".to_string(),
                 Json::from(s.tabu_horizons.clone()),
             ),
-            (
-                "freeze_log".to_string(),
-                Json::Array(
-                    s.freeze_log
-                        .iter()
-                        .map(|&(var, until)| Json::Array(vec![Json::from(var), Json::UInt(until)]))
-                        .collect(),
-                ),
-            ),
-            (
-                "select_cache_valid".to_string(),
-                Json::Bool(s.select_cache_valid),
-            ),
-            (
-                "select_cache_now".to_string(),
-                Json::UInt(s.select_cache_now),
-            ),
-            (
-                "culprit_best_err".to_string(),
-                Json::UInt(s.culprit_best_err),
-            ),
-            (
-                "culprit_ties".to_string(),
-                Json::from(s.culprit_ties.clone()),
-            ),
-            ("errors".to_string(), Json::from(s.errors.clone())),
         ]
         .into_iter()
         .collect(),
@@ -604,21 +569,6 @@ fn snapshot_from_json(value: &Json, context: &str) -> Result<EngineSnapshot, Cam
             })?,
         &format!("{context}.stats"),
     )?;
-    let freeze_log = value
-        .get("freeze_log")
-        .and_then(Json::as_array)
-        .ok_or_else(|| CampaignError::MissingField {
-            field: format!("{context}.freeze_log"),
-        })?
-        .iter()
-        .map(|entry| {
-            let pair = entry.as_array().filter(|a| a.len() == 2)?;
-            Some((pair[0].as_u64()? as usize, pair[1].as_u64()?))
-        })
-        .collect::<Option<Vec<(usize, u64)>>>()
-        .ok_or_else(|| CampaignError::MissingField {
-            field: format!("{context}.freeze_log (entries must be [var, until] pairs)"),
-        })?;
     Ok(EngineSnapshot {
         rng_state,
         configuration: get_usize_array(value, "configuration", context)?,
@@ -629,12 +579,6 @@ fn snapshot_from_json(value: &Json, context: &str) -> Result<EngineSnapshot, Cam
         marked_since_reset: get_u64(value, "marked_since_reset", context)? as usize,
         restart_pending: get_bool(value, "restart_pending", context)?,
         tabu_horizons: get_u64_array(value, "tabu_horizons", context)?,
-        freeze_log,
-        select_cache_valid: get_bool(value, "select_cache_valid", context)?,
-        select_cache_now: get_u64(value, "select_cache_now", context)?,
-        culprit_best_err: get_u64(value, "culprit_best_err", context)?,
-        culprit_ties: get_usize_array(value, "culprit_ties", context)?,
-        errors: get_u64_array(value, "errors", context)?,
     })
 }
 

@@ -275,18 +275,23 @@ fn flipped_byte_in_the_checkpoint_is_a_typed_corruption_error() {
 
 #[test]
 fn stale_schema_version_is_a_typed_error() {
-    let spec = small_spec(scratch_dir("stale"));
-    fs::create_dir_all(&spec.dir).expect("mkdir");
-    let payload = r#"{"schema":"campaign_checkpoint/v0"}"#;
-    fs::write(spec.checkpoint_path(), frame_record(payload)).expect("write stale checkpoint");
-    let err = Campaign::open(spec).expect_err("stale schema must be rejected");
-    assert_eq!(
-        err,
-        CampaignError::StaleSchema {
-            found: "campaign_checkpoint/v0".to_string(),
-            expected: CHECKPOINT_SCHEMA,
-        }
-    );
+    // v1 checkpoints carried the engine's culprit-selection cache, which no
+    // longer exists; they are stale, not half-loadable.
+    for version in ["v0", "v1"] {
+        let stale = format!("campaign_checkpoint/{version}");
+        let spec = small_spec(scratch_dir(&format!("stale-{version}")));
+        fs::create_dir_all(&spec.dir).expect("mkdir");
+        let payload = format!(r#"{{"schema":"{stale}"}}"#);
+        fs::write(spec.checkpoint_path(), frame_record(&payload)).expect("write stale checkpoint");
+        let err = Campaign::open(spec).expect_err("stale schema must be rejected");
+        assert_eq!(
+            err,
+            CampaignError::StaleSchema {
+                found: stale,
+                expected: CHECKPOINT_SCHEMA,
+            }
+        );
+    }
 }
 
 #[test]

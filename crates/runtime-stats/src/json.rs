@@ -168,9 +168,18 @@ impl std::fmt::Display for JsonParseError {
 
 impl std::error::Error for JsonParseError {}
 
+/// Deepest container nesting [`Json::parse`] accepts.  The parser recurses once
+/// per open `[` or `{`, so without a cap one line of brackets overflows the
+/// stack and aborts the process.  Every document this workspace writes or
+/// reads (wire messages, checkpoints, benchmark artefacts) nests fewer than
+/// ten levels deep.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -213,11 +222,25 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Parse one container with `parse`, counting it against [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonParseError>,
+    ) -> Result<Json, JsonParseError> {
+        if self.depth == MAX_DEPTH {
+            return self.error(format!("nesting deeper than {MAX_DEPTH} levels"));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
+    }
+
     fn value(&mut self) -> Result<Json, JsonParseError> {
         self.skip_whitespace();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => self.string().map(Json::Str),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -411,11 +434,13 @@ impl Json {
     ///
     /// Accepts standard JSON (objects, arrays, strings with escapes, numbers,
     /// booleans, null); trailing content after the top-level value is an error,
-    /// as are non-finite numbers (which [`Json::render`] never emits).
+    /// as are non-finite numbers (which [`Json::render`] never emits) and
+    /// containers nested deeper than [`MAX_DEPTH`].
     pub fn parse(input: &str) -> Result<Json, JsonParseError> {
         let mut parser = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let value = parser.value()?;
         parser.skip_whitespace();
@@ -587,6 +612,23 @@ mod tests {
             let err = Json::parse(bad).expect_err(bad);
             assert!(!err.message.is_empty(), "{bad}: {err}");
         }
+    }
+
+    #[test]
+    fn parse_accepts_nesting_at_the_depth_cap_and_rejects_one_more() {
+        let arrays: fn(usize) -> String = |depth| "[".repeat(depth) + &"]".repeat(depth);
+        let objects: fn(usize) -> String =
+            |depth| "{\"k\":".repeat(depth) + "1" + &"}".repeat(depth);
+        for nested in [arrays, objects] {
+            let at_cap = nested(MAX_DEPTH);
+            assert!(Json::parse(&at_cap).is_ok(), "{at_cap}");
+            let err = Json::parse(&nested(MAX_DEPTH + 1)).expect_err("cap + 1");
+            assert!(err.message.contains("nesting"), "{err}");
+        }
+        // An unterminated line far past the cap is rejected without recursing
+        // into it, so it cannot overflow the stack.
+        let err = Json::parse(&"[".repeat(200_000)).expect_err("deep line");
+        assert!(err.message.contains("nesting"), "{err}");
     }
 
     #[test]

@@ -360,3 +360,48 @@ fn tcp_mode_round_trips_requests() {
     assert_eq!(field(rejected, "status"), "rejected");
     assert_eq!(field(rejected, "reason"), "unknown-problem");
 }
+
+/// A line nesting far deeper than any real message (200k `[`, well under the
+/// line cap) is a typed parse reject, not a stack overflow, and the same TCP
+/// connection goes on to answer the next request.  The server runs on a
+/// spawned thread with the default stack, as `solverd --tcp` connections do.
+#[test]
+fn a_deeply_nested_line_is_a_parse_reject_and_the_connection_keeps_serving() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::{TcpListener, TcpStream};
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let addr = listener.local_addr().expect("local addr");
+    let server = std::thread::spawn(move || {
+        let service = Service::start(ServiceConfig::default());
+        let (stream, _) = listener.accept().expect("accept");
+        let reader = BufReader::new(stream.try_clone().expect("clone"));
+        serve_connection(&service, reader, &stream)
+    });
+
+    let mut client = TcpStream::connect(addr).expect("connect");
+    let deep = "[".repeat(200_000);
+    writeln!(client, "{deep}").expect("send deep line");
+    writeln!(
+        client,
+        r#"{{"id":"after","problem":"costas","n":10,"seed":5}}"#
+    )
+    .expect("send");
+    client
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+
+    let responses: Vec<Json> = BufReader::new(&client)
+        .lines()
+        .map(|line| Json::parse(&line.expect("read line")).expect("valid JSON"))
+        .collect();
+    assert_eq!(server.join().expect("server thread"), 2);
+    assert_eq!(responses.len(), 2);
+    let parse = responses
+        .iter()
+        .find(|doc| doc.get("reason").and_then(Json::as_str) == Some("parse"))
+        .expect("typed parse reject");
+    assert_eq!(field(parse, "status"), "error");
+    assert!(field(parse, "detail").contains("nesting"), "{parse:?}");
+    assert_eq!(field(by_id(&responses, "after"), "status"), "ok");
+}

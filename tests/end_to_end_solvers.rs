@@ -96,6 +96,120 @@ fn deterministic_replay_for_every_registry_key() {
     }
 }
 
+/// FNV-1a over little-endian `u64` words: a hash that is stable across builds,
+/// toolchains and hosts, unlike `std`'s `DefaultHasher`.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Fingerprint of one finished walk: status, solution, final and best cost,
+/// every stats counter (`culprit_scans` counts every culprit selection) and
+/// the final configuration.
+fn walk_fingerprint<P: adaptive_search::PermutationProblem>(
+    engine: &Engine<P>,
+    result: &adaptive_search::SolveResult,
+) -> u64 {
+    use adaptive_search::SolveStatus;
+    let s = &result.stats;
+    let mut words = vec![
+        match result.status {
+            SolveStatus::Solved => 0,
+            SolveStatus::IterationLimit => 1,
+            SolveStatus::ExternallyStopped => 2,
+            SolveStatus::Panicked => 3,
+        },
+        result.final_cost,
+        result.best_cost,
+        s.iterations,
+        s.local_minima,
+        s.improving_moves,
+        s.plateau_moves,
+        s.tabu_marks,
+        s.resets,
+        s.custom_resets,
+        s.custom_reset_escapes,
+        s.restarts,
+        s.coordinated_restarts,
+        s.injections_offered,
+        s.injections_adopted,
+        s.stop_checks,
+        s.culprit_scans,
+    ];
+    match &result.solution {
+        None => words.push(u64::MAX),
+        Some(sol) => {
+            words.push(sol.len() as u64);
+            words.extend(sol.iter().map(|&v| v as u64));
+        }
+    }
+    words.extend(engine.problem().configuration().iter().map(|&v| v as u64));
+    fnv1a(words)
+}
+
+/// Cross-commit replay pin: the fingerprint of a 2 000-step walk per registry
+/// key (default config, largest solvable size) and per seed is a recorded
+/// constant, so a change to any trajectory fails here even though it would
+/// still replay identically within one build.  The last key is a Costas n=15
+/// walk with `RL = 32`, where freezes outlive a single iteration without a
+/// reset.  A deliberate trajectory change must re-record these constants and
+/// say so.
+#[test]
+fn replay_fingerprints_match_recorded_constants() {
+    const SEEDS: [u64; 2] = [1, 0xDEAD_BEEF];
+    // Recorded before the carried culprit-selection cache was removed; the
+    // RL = 32 walks took 664 and 763 of their selections through that cache.
+    const PINNED: &[(&str, [u64; 2])] = &[
+        ("costas", [0x2984859986636dea, 0x54b2179936f8947a]),
+        ("n-queens", [0xa78fe66da850d551, 0xab83d12bb6f4b57b]),
+        ("all-interval", [0x75f466b165c68480, 0xa18c7f7a6b7d1967]),
+        ("magic-square", [0x0921c2dcfac72d42, 0xef317e6f8c3f6d5b]),
+        ("langford", [0x87b2b8d1b171a0a6, 0x70d4c42a728b5f82]),
+        (
+            "number-partitioning",
+            [0x76efd3cd9279d83e, 0xb843f61a0917d4d2],
+        ),
+        ("costas-15-rl32", [0x93bd19d603615ff2, 0xd0d1d329f4d83454]),
+    ];
+    let mut observed: Vec<(&str, [u64; 2])> = Vec::new();
+    for info in problems::registry() {
+        let size = *info.solvable_sizes.last().expect("registry lists sizes");
+        let config = AsConfig {
+            max_iterations: 2_000,
+            ..(info.default_config)(size)
+        };
+        let prints = SEEDS.map(|seed| {
+            let mut engine = Engine::new((info.build)(size), config.clone(), seed);
+            let result = engine.solve();
+            walk_fingerprint(&engine, &result)
+        });
+        observed.push((info.key, prints));
+    }
+    let rl32 = AsConfig::builder()
+        .reset_limit(32)
+        .plateau_probability(0.4)
+        .tabu_tenure(6)
+        .use_custom_reset(false)
+        .max_iterations(2_000)
+        .build();
+    let prints = SEEDS.map(|seed| {
+        let mut engine = Engine::new(adaptive_search::CostasProblem::new(15), rl32.clone(), seed);
+        let result = engine.solve();
+        walk_fingerprint(&engine, &result)
+    });
+    observed.push(("costas-15-rl32", prints));
+    let table: String = observed
+        .iter()
+        .map(|(key, p)| format!("\n    (\"{key}\", [{:#018x}, {:#018x}]),", p[0], p[1]))
+        .collect();
+    assert_eq!(observed, PINNED, "observed fingerprints:{table}");
+}
+
 /// Every registered workload solves its registry-declared solvable instances end
 /// to end, and the claimed solutions pass the model's independent known-optimum
 /// predicate.
