@@ -35,7 +35,6 @@
 //!   predicate, standard bench sizes) so harnesses dispatch by name.
 //! * [`tie_break`] — the uniform tie-break accumulator shared by the engine's
 //!   min-conflict scan and the baseline solvers.
-//! * [`multi_restart`] — a sequential driver with restart/benchmarking support.
 //! * [`request`] — the unified solve API ([`SolveRequest`] / [`SolveOutcome`]):
 //!   one typed request shape for every solve path in the workspace (baselines,
 //!   multi-walk fan-out, the `solverd` service), with typed errors instead of
@@ -51,7 +50,6 @@ pub mod engine;
 pub mod fault;
 pub mod langford;
 pub mod magic_square;
-pub mod multi_restart;
 pub mod partition;
 pub mod problem;
 pub mod problems;
@@ -66,7 +64,6 @@ pub use config::{AsConfig, AsConfigBuilder, ResetPolicy, RestartPolicy};
 pub use costas_model::{CostasModelConfig, CostasProblem};
 pub use engine::{Engine, EngineSnapshot, InjectOutcome, SnapshotError, StepOutcome};
 pub use fault::{Fault, FaultPlan, FaultyProblem};
-pub use multi_restart::{solve_costas, SequentialDriver};
 pub use problem::PermutationProblem;
 pub use problems::{DynProblem, ProblemInfo};
 pub use request::{RequestError, SolveOutcome, SolveRequest, Termination};

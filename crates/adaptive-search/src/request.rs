@@ -1,13 +1,10 @@
 //! The unified solve API: one typed request/outcome pair for every solve path.
 //!
-//! Before this module the workspace had three ad-hoc argument lists for "solve
-//! registered problem X": `baselines::solve_registry(key, size, seed, budget)`,
-//! `multiwalk::WalkSpec::for_problem(key, n)` (+ a config override), and
-//! whatever each harness hand-rolled on top of [`crate::Engine`].  The solver
-//! service (`solverd`) adds a fourth consumer — network traffic — which is
-//! exactly when scattered argument lists turn into drift: each path validates
-//! (or forgets to validate) the problem key, the warm start and the budget on
-//! its own.
+//! Every consumer — the Table I batch protocol, the examples, multi-walk
+//! fan-out and the solver service (`solverd`), which takes network traffic —
+//! states "solve registered problem X" the same way, so no path validates (or
+//! forgets to validate) the problem key, the warm start or the budget on its
+//! own.
 //!
 //! [`SolveRequest`] is the one audited shape:
 //!
@@ -28,10 +25,10 @@
 //! [`SolveRequest::run`] executes the single-engine path and returns a
 //! [`SolveOutcome`]: solution (verified against the registry's independent
 //! known-optimum predicate — never against searcher bookkeeping alone), full
-//! [`SearchStats`], and a [`Termination`] reason.  `baselines::solve_registry`,
-//! `multiwalk::WalkSpec::from_request` and the `solverd` service entry point
-//! are all re-expressed over this type, so a request that behaves one way in a
-//! bench harness behaves identically when it arrives over a socket.
+//! [`SearchStats`], and a [`Termination`] reason.  The sequential batch
+//! protocol, `multiwalk::WalkSpec::from_request` and the `solverd` service
+//! entry point are all expressed over this type, so a request that behaves one
+//! way in a bench harness behaves identically when it arrives over a socket.
 
 use std::time::{Duration, Instant};
 
@@ -39,9 +36,7 @@ use crate::config::AsConfig;
 use crate::engine::Engine;
 use crate::problems::{self, ProblemInfo};
 use crate::stats::{SearchStats, SolveStatus};
-use crate::termination::{
-    AnyStop, CancelToken, DeadlineStop, NeverStop, StopCondition, StopReason,
-};
+use crate::termination::{AnyStop, CancelToken, DeadlineStop, StopCondition, StopReason};
 
 /// Why a [`SolveRequest`] could not be executed.
 ///
@@ -196,8 +191,8 @@ impl SolveRequest {
     /// apply the warm start, run under budget + deadline, verify any claimed
     /// solution with the registry's independent predicate.
     ///
-    /// This is the audited solve path: `baselines::solve_registry` and the
-    /// `solverd` single-engine lane are thin wrappers around it, which is what
+    /// This is the audited solve path: the sequential batch protocol and the
+    /// `solverd` single-engine lane both call it, which is what
     /// makes "same request + same seed ⇒ bit-identical outcome" hold across
     /// the workspace (all fields except the wall-clock `elapsed` replay).
     pub fn run(&self) -> Result<SolveOutcome, RequestError> {
@@ -233,11 +228,7 @@ impl SolveRequest {
         {
             conditions.push(Box::new(stop));
         }
-        let result = if conditions.is_empty() {
-            engine.solve_until(&mut NeverStop)
-        } else {
-            engine.solve_until(&mut AnyStop::new(conditions))
-        };
+        let result = engine.solve_until(&mut AnyStop::new(conditions));
         let solved = result.status == SolveStatus::Solved
             && result
                 .solution
@@ -341,12 +332,6 @@ pub fn remaining_deadline(deadline: Option<Instant>) -> Option<Option<Duration>>
             }
         }
     }
-}
-
-/// A no-op [`StopCondition`] re-export point for callers composing their own
-/// stop logic on top of the request layer.
-pub fn never_stop() -> impl StopCondition {
-    NeverStop
 }
 
 #[cfg(test)]

@@ -3,9 +3,7 @@
 use std::time::{Duration, Instant};
 
 use adaptive_search::termination::{DeadlineStop, NeverStop};
-use adaptive_search::{
-    AsConfig, CostasModelConfig, CostasProblem, Engine, RequestError, SolveRequest, SolveResult,
-};
+use adaptive_search::{AsConfig, CostasModelConfig, CostasProblem, Engine, SolveResult};
 use costas::CostModel;
 
 /// Resource budget for one solve call.
@@ -143,43 +141,6 @@ fn solve_within<P: adaptive_search::PermutationProblem>(
     }
 }
 
-/// Solve any workload of the [`adaptive_search::problems`] registry by key with
-/// the real Adaptive Search engine, under the same budget/result conventions as
-/// the [`CostasSolver`] baselines (so harness tables can mix Costas baselines and
-/// registry workloads).
-///
-/// Uses the model's registry default configuration; `size` has the per-model
-/// semantics documented in [`adaptive_search::ProblemInfo::size_unit`].  The
-/// result's `solved` flag is only set when the model's independent known-optimum
-/// predicate accepts the final configuration — never on the searcher's own
-/// cost bookkeeping alone.
-///
-/// Implemented over the unified [`SolveRequest`] API: the `(key, size, seed,
-/// budget)` tuple becomes one request and runs through
-/// [`SolveRequest::run`] — the exact path the `solverd` service executes — so
-/// a baseline row and a served response for the same request are the same
-/// computation.  An unknown key is a typed [`RequestError`], not a panic.
-pub fn solve_registry(
-    key: &str,
-    size: usize,
-    seed: u64,
-    budget: &SolverBudget,
-) -> Result<BaselineResult, RequestError> {
-    let outcome = SolveRequest::new(key, size, seed)
-        .with_budget(budget.max_moves)
-        .with_deadline(budget.max_time)
-        .run()?;
-    Ok(BaselineResult {
-        solver: outcome.problem,
-        solved: outcome.is_solved(),
-        solution: outcome.solution,
-        moves: outcome.stats.iterations,
-        restarts: outcome.stats.restarts + outcome.stats.resets,
-        elapsed: outcome.elapsed,
-        best_cost: outcome.best_cost,
-    })
-}
-
 impl CostasSolver for AdaptiveSearchSolver {
     fn name(&self) -> &'static str {
         "adaptive-search"
@@ -208,7 +169,6 @@ impl CostasSolver for AdaptiveSearchSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adaptive_search::problems;
     use costas::is_costas_permutation;
 
     #[test]
@@ -241,49 +201,6 @@ mod tests {
         assert!(!r.solved);
         assert!(r.moves <= 26);
         assert!(r.best_cost > 0);
-    }
-
-    #[test]
-    fn registry_dispatch_solves_every_workload_on_a_small_instance() {
-        for info in problems::registry() {
-            let size = info.solvable_sizes[0];
-            let r = solve_registry(info.key, size, 5, &SolverBudget::unlimited())
-                .expect("registered key");
-            assert!(r.solved, "{} (size {size})", info.key);
-            assert_eq!(r.solver, info.key);
-            assert!((info.is_optimum)(r.solution.as_ref().unwrap()));
-        }
-        let err = solve_registry("no-such-model", 5, 1, &SolverBudget::unlimited())
-            .expect_err("unknown key");
-        assert_eq!(
-            err,
-            RequestError::UnknownProblem {
-                key: "no-such-model".into()
-            }
-        );
-    }
-
-    #[test]
-    fn registry_dispatch_respects_move_budget() {
-        let r = solve_registry("costas", 18, 3, &SolverBudget::moves(25)).unwrap();
-        assert!(!r.solved);
-        assert!(r.moves <= 26);
-        assert!(r.solution.is_none());
-    }
-
-    #[test]
-    fn registry_dispatch_respects_wall_clock_budget() {
-        // CAP 24 is far beyond an instant solve; a 20 ms deadline must bound the
-        // run (the engine polls the deadline every stop_check_interval
-        // iterations, tens of thousands of times per second on this instance).
-        let budget = SolverBudget::time(Duration::from_millis(20));
-        let start = Instant::now();
-        let r = solve_registry("costas", 24, 1, &budget).unwrap();
-        assert!(
-            start.elapsed() < Duration::from_secs(30),
-            "deadline ignored"
-        );
-        assert!(!r.solved);
     }
 
     #[test]

@@ -23,10 +23,7 @@
 //!
 //! Every solver implements [`CostasSolver`]; results are reported as
 //! [`BaselineResult`] records with comparable fields (moves, wall-clock, success).
-//! Beyond the CAP, [`solve_registry`] dispatches the real AS engine onto **any**
-//! workload of the [`adaptive_search::problems`] registry by key, under the same
-//! budget/result conventions, so harnesses can sweep every registered model
-//! without a per-model code path.  All best-of-neighbourhood sweeps share the
+//! All best-of-neighbourhood sweeps share the
 //! engine's uniform tie-break accumulator ([`adaptive_search::TieBreak`]), so
 //! equal-cost candidates are resolved uniformly at random — with a single RNG
 //! draw per selection — here exactly as in the engine.
@@ -37,9 +34,7 @@ pub mod dialectic;
 pub mod random_restart;
 pub mod tabu_quadratic;
 
-pub use common::{
-    solve_registry, AdaptiveSearchSolver, BaselineResult, CostasSolver, SolverBudget,
-};
+pub use common::{AdaptiveSearchSolver, BaselineResult, CostasSolver, SolverBudget};
 pub use complete::CompleteBacktracking;
 pub use dialectic::DialecticSearch;
 pub use random_restart::RandomRestartHillClimbing;

@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use multiwalk::{PlatformProfile, ThreadRunner, VirtualCluster, WalkSpec};
+use multiwalk::{PlatformProfile, RunControls, ThreadRunner, VirtualCluster, WalkSpec};
 use xrand::SeedSequence;
 
 fn bench_virtual_cluster(c: &mut Criterion) {
@@ -39,7 +39,7 @@ fn bench_thread_runner(c: &mut Criterion) {
             let mut run = 0u64;
             b.iter(|| {
                 run += 1;
-                let result = runner.run(seeds.child(run).seed());
+                let result = runner.run(seeds.child(run).seed(), &RunControls::default());
                 assert!(result.solved());
                 black_box(result.total_iterations())
             });

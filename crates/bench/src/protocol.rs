@@ -13,7 +13,7 @@
 //!   seeded identically to the independent cell so `coop_vs_independent` comparisons
 //!   isolate the effect of the exchange layer.
 
-use adaptive_search::{SequentialDriver, SolveResult};
+use adaptive_search::{SolveOutcome, SolveRequest};
 use multiwalk::{
     CoopConfig, CoopResult, CooperativeRunner, SimulatedRun, VirtualCluster, WalkSpec,
 };
@@ -29,14 +29,23 @@ pub enum CellMode {
     Sampled,
 }
 
-/// Run the Table I protocol: `runs` independent sequential solves of CAP `n`.
-pub fn sequential_batch(n: usize, runs: usize, master_seed: u64) -> Vec<SolveResult> {
-    SequentialDriver::new(n).run_many(runs, master_seed)
+/// Run the Table I protocol: `runs` independent sequential solves of CAP `n` with
+/// the paper's configuration and no iteration cap, run `r` seeded with child `r`
+/// of `master_seed`.
+pub fn sequential_batch(n: usize, runs: usize, master_seed: u64) -> Vec<SolveOutcome> {
+    let seeds = SeedSequence::new(master_seed);
+    (0..runs)
+        .map(|r| {
+            SolveRequest::new("costas", n, seeds.child(r as u64).seed())
+                .run()
+                .expect("costas is a registry key")
+        })
+        .collect()
 }
 
 /// Iteration counts of a batch of sequential solves (the empirical distribution used
 /// by the sampled mode and the TTT analysis).
-pub fn iteration_samples(results: &[SolveResult]) -> Vec<u64> {
+pub fn iteration_samples(results: &[SolveOutcome]) -> Vec<u64> {
     results.iter().map(|r| r.stats.iterations).collect()
 }
 
@@ -177,6 +186,23 @@ mod tests {
         let samples = iteration_samples(&results);
         assert_eq!(samples.len(), 4);
         assert!(samples.iter().all(|&s| s >= 1));
+    }
+
+    #[test]
+    fn sequential_batch_runs_are_independent_and_reproducible() {
+        let a = sequential_batch(10, 5, 123);
+        let b = sequential_batch(10, 5, 123);
+        assert_eq!(a.len(), 5);
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!(x.solution, y.solution);
+            assert_eq!(x.stats, y.stats);
+        }
+        // different master seeds give (almost surely) different iteration profiles
+        let c = sequential_batch(10, 5, 456);
+        assert!(a
+            .iter()
+            .zip(&c)
+            .any(|(x, y)| x.stats.iterations != y.stats.iterations));
     }
 
     #[test]

@@ -11,15 +11,15 @@
 //!
 //! * **Throughput** — every walk runs a fixed iteration budget at the model's
 //!   bench size with **no cross-walk stop flag**
-//!   ([`ThreadRunner::run_deterministic`]): no walk is cut short by a sibling's
+//!   ([`RunControls::replay`]): no walk is cut short by a sibling's
 //!   success, so on a hard bench size (Costas n = 18) all threads stay busy for
 //!   the whole window.  A walk that solves its own instance still stops at the
 //!   solution — easy models (N-Queens) can finish under budget, which the
 //!   recorded `total_steps` makes visible.  Aggregate steps/sec over wall-clock
 //!   is the strong-scaling number; with perfect scaling it grows linearly in
 //!   the thread count until the hardware runs out of cores.
-//! * **Time-to-target** — repeated racing jobs ([`ThreadRunner::run`], the
-//!   paper's first-solution-wins scheme) at the model's largest
+//! * **Time-to-target** — repeated racing jobs ([`ThreadRunner::run`] with
+//!   default controls, the paper's first-solution-wins scheme) at the model's largest
 //!   registry-declared solvable size, summarised as wall-clock percentiles.
 //!   This is the quantity the paper's speedup tables are built from.
 //!
@@ -32,7 +32,7 @@ use std::num::NonZeroUsize;
 
 use adaptive_search::problems;
 use adaptive_search::AsConfig;
-use multiwalk::{ThreadRunner, WalkSpec};
+use multiwalk::{RunControls, ThreadRunner, WalkSpec};
 use runtime_stats::{BatchStats, Json};
 
 use crate::protocol::cell_seed;
@@ -197,8 +197,14 @@ pub fn measure_model(key: &str, opts: &ScalingOptions, master_seed: u64) -> Mode
             .expect("registry key resolved above")
             .with_config(config);
         let runner = ThreadRunner::new(spec, threads);
-        let result =
-            runner.run_deterministic(cell_seed(master_seed, info.bench_size, threads, 0xBEAC));
+        let replay = RunControls {
+            replay: true,
+            ..RunControls::default()
+        };
+        let result = runner.run(
+            cell_seed(master_seed, info.bench_size, threads, 0xBEAC),
+            &replay,
+        );
         let total_steps = result.total_iterations();
         let seconds = result.elapsed.as_secs_f64();
 
@@ -209,7 +215,7 @@ pub fn measure_model(key: &str, opts: &ScalingOptions, master_seed: u64) -> Mode
         let mut times = Vec::with_capacity(opts.ttt_runs);
         for run in 0..opts.ttt_runs {
             let seed = cell_seed(master_seed, target_size, threads, 0x7717 + run as u64);
-            let ttt = ttt_runner.run(seed);
+            let ttt = ttt_runner.run(seed, &RunControls::default());
             if ttt.solved() {
                 times.push(ttt.elapsed.as_secs_f64());
             }

@@ -9,9 +9,9 @@
 //! histogram path.  All of them are pinned bit for bit to the plain histogram
 //! reference (`ConflictTable::probe_partners_reference`):
 //!
-//! * [`ConflictTable::probe_range_masked`] — the **production kernel** behind
+//! * `ConflictTable::probe_range_masked` — the **production kernel** behind
 //!   the dispatched `probe_partners`, monomorphized per row-mask word type
-//!   ([`MaskWord`]: one `u64` for n ≤ 32 — the historical single-word layout
+//!   (`MaskWord`: one `u64` for n ≤ 32 — the historical single-word layout
 //!   bit for bit — one `u128` holding both words for n ≤ 64).  Candidate-major
 //!   and *collision-free by construction*: per (candidate, row) cell the ≤ 6
 //!   bucket events are replayed **in sequence** on register copies of the
@@ -26,17 +26,17 @@
 //!   (the second `−1` needs "count ≥ 3", which two bits cannot answer); both
 //!   fall back to the exact per-bucket merge on the flat counts.  The per-row
 //!   mask patches for the culprit-vacated buckets are built once per probe
-//!   call ([`SimRow`]), and the culprit-removal delta — identical for every
+//!   call (`SimRow`), and the culprit-removal delta — identical for every
 //!   candidate — is summed across rows once and added once per candidate
 //!   instead of once per (row, candidate).  On x86-64 with AVX-512 F + DQ the
-//!   dispatcher swaps the replay loop for the vector body in [`simd`]: the
+//!   dispatcher swaps the replay loop for the vector body in `simd`: the
 //!   same cell algebra scored 8 candidates per instruction, with the
 //!   sequential replay replaced by branchless bucket-equality corrections and
 //!   the `j = m ± d` cells folded into the lanes by a partner-value override,
 //!   so only the shared-bucket double-vacate still reaches the exact merge.
 //!   The scalar replay body is the portable fallback and the vector body's
 //!   pinned sibling.
-//! * [`ConflictTable::probe_range_masked_dyn`] — the same candidate-major body
+//! * `ConflictTable::probe_range_masked_dyn` — the same candidate-major body
 //!   over slice-held mask copies for arbitrary width (`W ≥ 3`, n ≥ 65), with
 //!   the patched masks kept in a table-owned scratch so the read-only probe
 //!   contract stays allocation-free.

@@ -9,7 +9,7 @@
 //! This crate is the domain substrate shared by every solver in the workspace
 //! (Adaptive Search, Dialectic Search, tabu search, complete backtracking):
 //!
-//! * [`CostasArray`] / [`Permutation`] — validated permutation types ([`array`]).
+//! * [`CostasArray`] / [`Permutation`] — validated permutation types ([`mod@array`]).
 //! * [`DifferenceTriangle`] — the full triangle, row by row ([`triangle`]).
 //! * [`cost`] — the paper's error model (`ERR(d)`), Chang's half-triangle optimisation
 //!   and an incrementally-updatable [`cost::ConflictTable`] giving O(⌊n/2⌋) swap

@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 
 use adaptive_search::{PermutationProblem, SearchStats, StepOutcome};
 use mpi_sim::collectives::allreduce_min;
-use mpi_sim::run_world_with_threads;
+use mpi_sim::run_world;
 
 use crate::virtual_cluster::VirtualCluster;
 use crate::walker::WalkSpec;
@@ -163,21 +163,6 @@ impl CooperativeRunner {
         );
         self.coop = coop;
         self
-    }
-
-    /// The walk specification.
-    pub fn spec(&self) -> &WalkSpec {
-        &self.spec
-    }
-
-    /// Number of walks.
-    pub fn walks(&self) -> usize {
-        self.walks
-    }
-
-    /// The exchange configuration.
-    pub fn coop(&self) -> &CoopConfig {
-        &self.coop
     }
 
     /// Deterministic cooperative run on the virtual clock: walks are interleaved in
@@ -306,23 +291,6 @@ impl CooperativeRunner {
     /// structure makes this substrate seed-deterministic too, despite running on
     /// real threads.
     pub fn run_mpi(&self, master_seed: u64) -> CoopResult {
-        self.run_mpi_with_threads(master_seed, self.walks)
-    }
-
-    /// Like [`CooperativeRunner::run_mpi`] with an explicit cap on OS threads.
-    ///
-    /// Unlike the independent `MpiRunner`, the cooperative protocol is synchronous:
-    /// every rank must be alive to join each exchange round, so `max_threads` must be
-    /// at least `walks`.
-    ///
-    /// # Panics
-    /// Panics if `max_threads < walks` (a smaller cap would deadlock the first
-    /// exchange).
-    pub fn run_mpi_with_threads(&self, master_seed: u64, max_threads: usize) -> CoopResult {
-        assert!(
-            max_threads >= self.walks,
-            "cooperative exchange is synchronous: need max_threads >= walks"
-        );
         let start = Instant::now();
         let interval = self.coop.exchange_interval;
         let stagnation_limit = self.coop.stagnation_limit;
@@ -337,71 +305,70 @@ impl CooperativeRunner {
             stats: SearchStats,
         }
 
-        let reports: Vec<RankReport> =
-            run_world_with_threads::<Elite, _, _>(self.walks, max_threads, move |comm| {
-                let rank = comm.rank();
-                let mut engine = spec.build_engine(master_seed, rank);
-                let budget = spec.config.max_iterations;
-                let mut iterations = 0u64;
-                let mut solved = false;
-                let mut rounds = 0u64;
-                let mut restarts = 0u64;
-                let mut global_best = u64::MAX;
-                let mut stagnant = 0u64;
-                let mut winning: Option<Vec<usize>> = None;
-                // Every rank computes the same capped block sequence, so all ranks
-                // run the same number of exchange rounds and reach the budget
-                // exactly — no rank can overrun it or miss a collective.
-                while iterations < budget {
-                    let block = interval.min(budget - iterations);
-                    for _ in 0..block {
-                        iterations += 1;
-                        if engine.step() == StepOutcome::Solved {
-                            solved = true;
-                            break;
-                        }
-                    }
-                    let mine: Elite = (
-                        engine.current_cost(),
-                        rank,
-                        engine.problem().configuration().to_vec(),
-                    );
-                    let (best_cost, _best_rank, best_config) =
-                        allreduce_min(comm, mine).expect("exchange round");
-                    rounds += 1;
-                    if best_cost == 0 {
-                        winning = Some(best_config);
+        let reports: Vec<RankReport> = run_world::<Elite, _, _>(self.walks, move |comm| {
+            let rank = comm.rank();
+            let mut engine = spec.build_engine(master_seed, rank);
+            let budget = spec.config.max_iterations;
+            let mut iterations = 0u64;
+            let mut solved = false;
+            let mut rounds = 0u64;
+            let mut restarts = 0u64;
+            let mut global_best = u64::MAX;
+            let mut stagnant = 0u64;
+            let mut winning: Option<Vec<usize>> = None;
+            // Every rank computes the same capped block sequence, so all ranks
+            // run the same number of exchange rounds and reach the budget
+            // exactly — no rank can overrun it or miss a collective.
+            while iterations < budget {
+                let block = interval.min(budget - iterations);
+                for _ in 0..block {
+                    iterations += 1;
+                    if engine.step() == StepOutcome::Solved {
+                        solved = true;
                         break;
                     }
-                    if best_cost < engine.current_cost() {
-                        let threshold = engine.current_cost();
-                        let _ = engine.inject_candidate(&best_config, threshold);
-                    }
-                    // Every rank sees the same reduction, so the stagnation counter —
-                    // and therefore the restart round — is identical on all ranks:
-                    // the restarts are coordinated without extra messages.
-                    if best_cost < global_best {
-                        global_best = best_cost;
+                }
+                let mine: Elite = (
+                    engine.current_cost(),
+                    rank,
+                    engine.problem().configuration().to_vec(),
+                );
+                let (best_cost, _best_rank, best_config) =
+                    allreduce_min(comm, mine).expect("exchange round");
+                rounds += 1;
+                if best_cost == 0 {
+                    winning = Some(best_config);
+                    break;
+                }
+                if best_cost < engine.current_cost() {
+                    let threshold = engine.current_cost();
+                    let _ = engine.inject_candidate(&best_config, threshold);
+                }
+                // Every rank sees the same reduction, so the stagnation counter —
+                // and therefore the restart round — is identical on all ranks:
+                // the restarts are coordinated without extra messages.
+                if best_cost < global_best {
+                    global_best = best_cost;
+                    stagnant = 0;
+                } else if let Some(limit) = stagnation_limit {
+                    stagnant += 1;
+                    if stagnant >= limit {
+                        engine.schedule_restart();
+                        restarts += 1;
                         stagnant = 0;
-                    } else if let Some(limit) = stagnation_limit {
-                        stagnant += 1;
-                        if stagnant >= limit {
-                            engine.schedule_restart();
-                            restarts += 1;
-                            stagnant = 0;
-                            global_best = u64::MAX;
-                        }
+                        global_best = u64::MAX;
                     }
                 }
-                RankReport {
-                    iterations,
-                    solved,
-                    solution: winning,
-                    rounds,
-                    coordinated_restarts: restarts,
-                    stats: engine.stats().clone(),
-                }
-            });
+            }
+            RankReport {
+                iterations,
+                solved,
+                solution: winning,
+                rounds,
+                coordinated_restarts: restarts,
+                stats: engine.stats().clone(),
+            }
+        });
 
         let winner = reports.iter().position(|r| r.solved);
         let solution = reports.iter().find_map(|r| r.solution.clone());
@@ -780,12 +747,5 @@ mod tests {
     #[should_panic(expected = "exchange interval")]
     fn zero_interval_rejected() {
         let _ = CoopConfig::every(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "synchronous")]
-    fn thread_cap_below_walks_rejected_on_mpi_substrate() {
-        let runner = CooperativeRunner::new(coop_spec(8), 4);
-        let _ = runner.run_mpi_with_threads(1, 2);
     }
 }

@@ -61,7 +61,7 @@ pub use campaign::{Campaign, CampaignError, CampaignSpec};
 pub use cooperative::{CoopConfig, CoopResult, CooperativeRunner};
 pub use mpi_runner::MpiRunner;
 pub use platform::PlatformProfile;
-pub use thread_runner::{MultiWalkResult, ThreadRunner};
+pub use thread_runner::{MultiWalkResult, RunControls, ThreadRunner};
 pub use virtual_cluster::{SimulatedRun, VirtualCluster};
 pub use walker::WalkSpec;
 
@@ -74,7 +74,7 @@ mod tests {
     fn thread_runner_end_to_end() {
         let spec = WalkSpec::costas(12);
         let runner = ThreadRunner::new(spec, 4);
-        let result = runner.run(2024);
+        let result = runner.run(2024, &RunControls::default());
         assert!(result.solved());
         assert!(is_costas_permutation(result.solution.as_ref().unwrap()));
     }

@@ -1,17 +1,16 @@
-//! Thread-backed independent multi-walk: one OS thread per walk, first solution wins.
+//! Thread-backed independent multi-walk: one OS thread per walk.
 //!
 //! This is the execution mode a user with a multi-core workstation wants: it delivers
-//! real wall-clock speed-up, bounded by the number of hardware threads.  Termination
-//! mirrors the paper's scheme — each walk checks a shared flag every `c` iterations
-//! (the flag plays the role of the MPI "solution found" message) and stops as soon as
-//! it is raised.
+//! real wall-clock speed-up, bounded by the number of hardware threads.  By default a
+//! job is the paper's race — each walk checks a shared flag every `c` iterations (the
+//! flag plays the role of the MPI "solution found" message) and stops as soon as it
+//! is raised.  [`RunControls`] adds a deadline, a cancel token, or drops the flag so
+//! the job replays bit for bit.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use std::sync::Mutex;
 
 use adaptive_search::termination::{AnyStop, CancelToken, DeadlineStop, FlagStop, StopCondition};
 use adaptive_search::{SolveResult, SolveStatus};
@@ -23,7 +22,8 @@ use crate::walker::WalkSpec;
 pub struct MultiWalkResult {
     /// The solution found (a permutation of `1..=n`), if any walk succeeded.
     pub solution: Option<Vec<usize>>,
-    /// Rank of the first walk that found a solution.
+    /// Rank of the winning walk: the solved walk with the fewest iterations, the
+    /// lowest rank on ties.
     pub winner: Option<usize>,
     /// Wall-clock time of the whole job.
     pub elapsed: Duration,
@@ -60,8 +60,20 @@ impl MultiWalkResult {
     }
 }
 
-/// The shared winner record: rank and solution of the first walk to finish.
-type WinnerCell = Arc<Mutex<Option<(usize, Vec<usize>)>>>;
+/// How a [`ThreadRunner`] job stops.  `RunControls::default()` is the paper's
+/// race: the first solution raises a shared flag that stops every other walk.
+#[derive(Debug, Clone, Default)]
+pub struct RunControls {
+    /// Every walk stops once this instant passes.
+    pub deadline: Option<Instant>,
+    /// Every walk stops once this token is cancelled.
+    pub cancel: Option<CancelToken>,
+    /// Drop the shared first-solution flag: every walk runs to its own end
+    /// (solution, budget, deadline or cancel), so without a deadline or cancel
+    /// everything but `elapsed` is a pure function of `(spec, master_seed,
+    /// workers)`.
+    pub replay: bool,
+}
 
 /// Runs `workers` independent walks on OS threads.
 #[derive(Debug, Clone)]
@@ -80,175 +92,64 @@ impl ThreadRunner {
         Self { spec, workers }
     }
 
-    /// The walk specification.
-    pub fn spec(&self) -> &WalkSpec {
-        &self.spec
-    }
-
-    /// Number of concurrent walks.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Run the job: all walks start from rank-specific chaotic seeds derived from
-    /// `master_seed`, and the first walk to reach cost zero raises the shared flag.
-    pub fn run(&self, master_seed: u64) -> MultiWalkResult {
-        self.run_with_controls(master_seed, None, None)
-    }
-
-    /// The fully-controlled fan-out: an optional deadline *and* an optional
-    /// [`CancelToken`], with per-walk panic isolation.
+    /// Run the job: every walk starts from a rank-specific chaotic seed derived
+    /// from `master_seed` and polls the stop conditions `controls` names at its
+    /// stop-check interval.
     ///
-    /// * Every walk polls the shared first-solution flag, the deadline and the
-    ///   cancel token at its stop-check interval; whichever fires first ends
-    ///   the walk.  So a request-scoped fan-out (the `solverd` service) enforces
-    ///   per-request deadlines without a watchdog thread: a job whose deadline
-    ///   fires before any walk solves returns unsolved with every walk reporting
-    ///   `ExternallyStopped` (or `IterationLimit` if its budget ran out first).
-    /// * A panicking walk (a buggy or fault-injected model) is caught with
-    ///   `catch_unwind` and costs only itself: its slot in `walk_results`
-    ///   becomes a synthetic [`SolveResult::panicked`] placeholder and the
-    ///   surviving walks' race is undisturbed.  The runner never aborts.
-    pub fn run_with_controls(
-        &self,
-        master_seed: u64,
-        deadline: Option<Instant>,
-        cancel: Option<&CancelToken>,
-    ) -> MultiWalkResult {
+    /// The winner is the solved walk with the fewest iterations, the lowest rank
+    /// on ties.  With [`RunControls::replay`] that makes the winner, its
+    /// permutation and every per-walk statistic replay bit for bit; the
+    /// criterion is the virtual cluster's machine-independent clock, so a replay
+    /// job agrees with the simulator about *who* wins.  In a race, walks that
+    /// solve before they see the flag all count, and the fold picks among them.
+    ///
+    /// A panicking walk (a buggy or fault-injected model) is caught with
+    /// `catch_unwind` and costs only itself: its slot in `walk_results` becomes
+    /// a synthetic [`SolveResult::panicked`] placeholder, which never wins.  The
+    /// runner never aborts.
+    pub fn run(&self, master_seed: u64, controls: &RunControls) -> MultiWalkResult {
         let start = Instant::now();
         let found = Arc::new(AtomicBool::new(false));
-        let winner: WinnerCell = Arc::new(Mutex::new(None));
-
-        let mut walk_results: Vec<Option<SolveResult>> = (0..self.workers).map(|_| None).collect();
-
-        std::thread::scope(|scope| {
+        let walk_results: Vec<SolveResult> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..self.workers)
                 .map(|rank| {
-                    let spec = self.spec.clone();
-                    let found = found.clone();
-                    let winner = winner.clone();
-                    let cancel = cancel.cloned();
+                    let found = &found;
                     scope.spawn(move || {
                         let walk_start = Instant::now();
-                        // The catch region covers engine construction and the
-                        // whole solve; winner recording stays outside it so a
-                        // poisoned winner mutex cannot be blamed on this walk.
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            let mut engine = spec.build_engine(master_seed, rank);
-                            let mut conditions: Vec<Box<dyn StopCondition>> =
-                                vec![Box::new(FlagStop::new(found.clone()))];
-                            if let Some(at) = deadline {
+                        let result = catch_unwind(AssertUnwindSafe(|| {
+                            let mut engine = self.spec.build_engine(master_seed, rank);
+                            let mut conditions: Vec<Box<dyn StopCondition>> = Vec::new();
+                            if !controls.replay {
+                                conditions.push(Box::new(FlagStop::new(Arc::clone(found))));
+                            }
+                            if let Some(at) = controls.deadline {
                                 conditions.push(Box::new(DeadlineStop::at(at)));
                             }
-                            if let Some(token) = &cancel {
+                            if let Some(token) = &controls.cancel {
                                 conditions.push(Box::new(token.stop_condition()));
                             }
                             engine.solve_until(&mut AnyStop::new(conditions))
-                        }));
-                        let result = match outcome {
-                            Ok(result) => result,
-                            Err(_) => SolveResult::panicked(walk_start.elapsed()),
-                        };
+                        }))
+                        .unwrap_or_else(|_| SolveResult::panicked(walk_start.elapsed()));
                         if result.status == SolveStatus::Solved {
-                            // First writer wins; later solvers keep their result but
-                            // do not overwrite the winner record.
-                            let mut guard =
-                                winner.lock().unwrap_or_else(|poison| poison.into_inner());
-                            if guard.is_none() {
-                                *guard = Some((
-                                    rank,
-                                    result.solution.clone().expect("solved implies solution"),
-                                ));
-                            }
                             found.store(true, Ordering::Relaxed);
                         }
                         result
                     })
                 })
                 .collect();
-            for (rank, handle) in handles.into_iter().enumerate() {
-                // A join error is unreachable while catch_unwind covers the
-                // walk body; treat it as one more dead walk, never an abort.
-                walk_results[rank] = Some(
-                    handle
-                        .join()
-                        .unwrap_or_else(|_| SolveResult::panicked(start.elapsed())),
-                );
-            }
-        });
-
-        let elapsed = start.elapsed();
-        let winner_record = winner
-            .lock()
-            .unwrap_or_else(|poison| poison.into_inner())
-            .clone();
-        MultiWalkResult {
-            solution: winner_record.as_ref().map(|(_, sol)| sol.clone()),
-            winner: winner_record.map(|(rank, _)| rank),
-            elapsed,
-            walks: self.workers,
-            walk_results: walk_results
+            // A join error is unreachable while catch_unwind covers the walk
+            // body; treat it as one more dead walk, never an abort.
+            handles
                 .into_iter()
-                .map(|r| r.expect("every walk reports"))
-                .collect(),
-        }
-    }
-
-    /// Run the job with **no early-termination flag**: every walk runs to its own
-    /// completion (solution or iteration budget) and the winner is the solved walk
-    /// with the fewest iterations (rank breaks ties).
-    ///
-    /// Unlike [`ThreadRunner::run`], whose winner record depends on which thread
-    /// reaches the mutex first (OS scheduling), everything here except `elapsed`
-    /// is a pure function of `(spec, master_seed, workers)`: the winning rank, the
-    /// winning permutation and every per-walk statistic replay bit-for-bit.  Two
-    /// users:
-    ///
-    /// * the strong-scaling harness (`bench::scaling`), whose throughput leg needs
-    ///   every thread busy for the whole measurement window and whose results must
-    ///   be reproducible across hosts up to wall-clock;
-    /// * determinism regression tests, which pin `run` semantics being racy to
-    ///   this method being the reproducible alternative.
-    ///
-    /// The iteration-count winner criterion is exactly the virtual cluster's
-    /// machine-independent clock, so a deterministic thread job agrees with the
-    /// simulator about *who* wins, while still exercising real OS threads.
-    pub fn run_deterministic(&self, master_seed: u64) -> MultiWalkResult {
-        let start = Instant::now();
-        let mut walk_results: Vec<Option<SolveResult>> = (0..self.workers).map(|_| None).collect();
-
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.workers)
-                .map(|rank| {
-                    let spec = self.spec.clone();
-                    scope.spawn(move || {
-                        let walk_start = Instant::now();
-                        // Panic isolation preserves determinism: a fault that
-                        // is a function of (spec, master_seed, rank) kills the
-                        // same walk in every replay, and the placeholder's
-                        // u64::MAX costs keep it out of the winner fold.
-                        catch_unwind(AssertUnwindSafe(|| {
-                            let mut engine = spec.build_engine(master_seed, rank);
-                            engine.solve()
-                        }))
-                        .unwrap_or_else(|_| SolveResult::panicked(walk_start.elapsed()))
-                    })
-                })
-                .collect();
-            for (rank, handle) in handles.into_iter().enumerate() {
-                walk_results[rank] = Some(
+                .map(|handle| {
                     handle
                         .join()
-                        .unwrap_or_else(|_| SolveResult::panicked(start.elapsed())),
-                );
-            }
+                        .unwrap_or_else(|_| SolveResult::panicked(start.elapsed()))
+                })
+                .collect()
         });
 
-        let elapsed = start.elapsed();
-        let walk_results: Vec<SolveResult> = walk_results
-            .into_iter()
-            .map(|r| r.expect("every walk reports"))
-            .collect();
         let winner = walk_results
             .iter()
             .enumerate()
@@ -258,7 +159,7 @@ impl ThreadRunner {
         MultiWalkResult {
             solution: winner.and_then(|w| walk_results[w].solution.clone()),
             winner,
-            elapsed,
+            elapsed: start.elapsed(),
             walks: self.workers,
             walk_results,
         }
@@ -271,10 +172,16 @@ mod tests {
     use adaptive_search::AsConfig;
     use costas::is_costas_permutation;
 
+    const REPLAY: RunControls = RunControls {
+        deadline: None,
+        cancel: None,
+        replay: true,
+    };
+
     #[test]
     fn single_walk_behaves_like_sequential_solve() {
         let runner = ThreadRunner::new(WalkSpec::costas(11), 1);
-        let result = runner.run(5);
+        let result = runner.run(5, &RunControls::default());
         assert!(result.solved());
         assert_eq!(result.winner, Some(0));
         assert_eq!(result.walks, 1);
@@ -288,7 +195,7 @@ mod tests {
     #[test]
     fn multiple_walks_terminate_after_first_success() {
         let runner = ThreadRunner::new(WalkSpec::costas(12), 4);
-        let result = runner.run(99);
+        let result = runner.run(99, &RunControls::default());
         assert!(result.solved());
         let winner = result.winner.unwrap();
         assert!(winner < 4);
@@ -316,7 +223,7 @@ mod tests {
         // Give every walk a tiny iteration budget on a hard instance: nobody solves.
         let spec = WalkSpec::costas(18).with_config(AsConfig::builder().max_iterations(20).build());
         let runner = ThreadRunner::new(spec, 3);
-        let result = runner.run(1);
+        let result = runner.run(1, &RunControls::default());
         assert!(!result.solved());
         assert_eq!(result.winner, None);
         assert!(result
@@ -343,7 +250,7 @@ mod tests {
             WalkSpec::costas(10).with_config(AsConfig::builder().stop_check_interval(1).build());
         for master_seed in 0..8u64 {
             let runner = ThreadRunner::new(spec.clone(), 4);
-            let result = runner.run(master_seed);
+            let result = runner.run(master_seed, &RunControls::default());
             assert!(result.solved(), "seed {master_seed}");
             let winner = result.winner.unwrap();
             assert_eq!(
@@ -357,19 +264,31 @@ mod tests {
                 result.solution, result.walk_results[winner].solution,
                 "seed {master_seed}"
             );
+            // Walks that solved before seeing the flag all count: the race
+            // winner is the one with the fewest iterations, then lowest rank.
+            let fewest = result
+                .walk_results
+                .iter()
+                .filter(|r| r.status == SolveStatus::Solved)
+                .map(|r| r.stats.iterations)
+                .min();
+            assert_eq!(result.winner_iterations(), fewest, "seed {master_seed}");
+            assert!(result.walk_results[..winner]
+                .iter()
+                .all(|r| r.status != SolveStatus::Solved || r.stats.iterations > fewest.unwrap()));
         }
     }
 
     #[test]
     fn deterministic_run_replays_bit_for_bit_across_repeats() {
-        // The flag-free variant must be a pure function of (spec, seed, workers):
+        // A replay job must be a pure function of (spec, seed, workers):
         // same winner rank, same winning permutation, same per-walk statistics.
         // A capped budget keeps non-solving walks bounded.
         let spec =
             WalkSpec::costas(12).with_config(AsConfig::builder().max_iterations(50_000).build());
         let runner = ThreadRunner::new(spec, 4);
-        let a = runner.run_deterministic(2024);
-        let b = runner.run_deterministic(2024);
+        let a = runner.run(2024, &REPLAY);
+        let b = runner.run(2024, &REPLAY);
         assert_eq!(a.winner, b.winner);
         assert_eq!(a.solution, b.solution);
         assert_eq!(a.walk_results.len(), b.walk_results.len());
@@ -385,7 +304,7 @@ mod tests {
     #[test]
     fn deterministic_winner_minimises_iterations_then_rank() {
         let runner = ThreadRunner::new(WalkSpec::costas(10), 4);
-        let result = runner.run_deterministic(7);
+        let result = runner.run(7, &REPLAY);
         assert!(result.solved());
         let winner = result.winner.unwrap();
         let expected = result
@@ -412,7 +331,13 @@ mod tests {
         let start = Instant::now();
         let runner = ThreadRunner::new(WalkSpec::costas(24), 2);
         let deadline = Instant::now() + Duration::from_millis(50);
-        let result = runner.run_with_controls(1, Some(deadline), None);
+        let result = runner.run(
+            1,
+            &RunControls {
+                deadline: Some(deadline),
+                ..RunControls::default()
+            },
+        );
         assert!(
             start.elapsed() < Duration::from_secs(30),
             "deadline ignored"
@@ -436,7 +361,13 @@ mod tests {
             std::thread::sleep(Duration::from_millis(30));
             signal.cancel();
         });
-        let result = runner.run_with_controls(1, None, Some(&token));
+        let result = runner.run(
+            1,
+            &RunControls {
+                cancel: Some(token.clone()),
+                ..RunControls::default()
+            },
+        );
         signaller.join().unwrap();
         assert!(start.elapsed() < Duration::from_secs(30), "cancel ignored");
         assert!(!result.solved());
@@ -451,7 +382,7 @@ mod tests {
     fn no_deadline_matches_plain_run_semantics() {
         let spec = WalkSpec::costas(18).with_config(AsConfig::builder().max_iterations(20).build());
         let runner = ThreadRunner::new(spec, 2);
-        let result = runner.run_with_controls(1, None, None);
+        let result = runner.run(1, &RunControls::default());
         assert!(!result.solved());
         assert!(result
             .walk_results
@@ -462,8 +393,8 @@ mod tests {
     #[test]
     fn reproducible_given_same_master_seed_and_single_walk() {
         let runner = ThreadRunner::new(WalkSpec::costas(10), 1);
-        let a = runner.run(33);
-        let b = runner.run(33);
+        let a = runner.run(33, &RunControls::default());
+        let b = runner.run(33, &RunControls::default());
         assert_eq!(a.solution, b.solution);
         assert_eq!(
             a.walk_results[0].stats.iterations,

@@ -11,7 +11,7 @@ use std::sync::Once;
 
 use adaptive_search::fault::{self, Fault, FaultPlan};
 use adaptive_search::{CostasProblem, Engine, PermutationProblem, SolveStatus};
-use multiwalk::{CoopConfig, CooperativeRunner, ThreadRunner, WalkSpec};
+use multiwalk::{CoopConfig, CooperativeRunner, RunControls, ThreadRunner, WalkSpec};
 
 /// One plan per test binary: every test in this file shares it, so the
 /// process-global installation can never race between tests.
@@ -73,7 +73,7 @@ fn a_panicking_walk_costs_only_itself_in_the_racing_runner() {
     let runner = ThreadRunner::new(spec.clone(), walks);
     let (master_seed, dead) = mixed_seed(&spec, walks);
 
-    let result = runner.run(master_seed);
+    let result = runner.run(master_seed, &RunControls::default());
     assert_eq!(result.walk_results.len(), walks, "every rank accounted for");
     for (rank, died) in dead.iter().enumerate() {
         let status = result.walk_results[rank].status;
@@ -108,8 +108,12 @@ fn deterministic_runner_replays_identically_under_faults() {
     let runner = ThreadRunner::new(spec.clone(), walks);
     let (master_seed, dead) = mixed_seed(&spec, walks);
 
-    let a = runner.run_deterministic(master_seed);
-    let b = runner.run_deterministic(master_seed);
+    let replay = RunControls {
+        replay: true,
+        ..RunControls::default()
+    };
+    let a = runner.run(master_seed, &replay);
+    let b = runner.run(master_seed, &replay);
     assert_eq!(a.winner, b.winner, "same winner across replays");
     assert_eq!(a.solution, b.solution);
     assert!(a.solved(), "survivors solve order 12");

@@ -96,8 +96,12 @@ where
     std::thread::scope(|scope| {
         let writer_handle = scope.spawn(move || {
             let mut writer = writer;
-            for line in rx {
-                if writeln!(writer, "{line}").is_err() {
+            for mut line in rx {
+                // One write per response: split writes (line, then newline)
+                // let Nagle's algorithm hold the newline back until the
+                // client's delayed ACK, stalling every response after the first.
+                line.push('\n');
+                if writer.write_all(line.as_bytes()).is_err() {
                     // Client hung up: stop writing, keep draining so job
                     // threads never block on a full channel (mpsc is
                     // unbounded, but exiting early would be a silent drop of
@@ -206,6 +210,42 @@ mod tests {
             after.get("termination").and_then(Json::as_str),
             Some("solved")
         );
+    }
+
+    /// Records the bytes of every `write` call separately.
+    #[derive(Default)]
+    struct WriteLog(Vec<Vec<u8>>);
+
+    impl Write for WriteLog {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_response_is_one_write_of_one_line() {
+        let service = Service::start(ServiceConfig::default());
+        let input = concat!(
+            r#"{"id":"a","problem":"costas","n":8,"seed":1}"#,
+            "\n",
+            r#"{"id":"b","problem":"n-queens","n":8,"seed":2}"#,
+            "\n",
+            "garbage\n",
+        );
+        let mut log = WriteLog::default();
+        assert_eq!(serve_connection(&service, input.as_bytes(), &mut log), 3);
+        assert_eq!(log.0.len(), 3, "one write per response");
+        for write in &log.0 {
+            let text = std::str::from_utf8(write).expect("UTF-8");
+            assert!(text.ends_with('\n'), "{text:?}");
+            assert_eq!(text.matches('\n').count(), 1, "{text:?}");
+            Json::parse(text.trim_end()).expect("a whole response line");
+        }
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!   typed `"worker-panicked"` failure response.
 //! * [`service`] — admission control, backpressure, deadline enforcement and
 //!   the single-engine vs multi-walk fan-out policy.  All solve execution goes
-//!   through [`adaptive_search::SolveRequest`], the same audited API the
-//!   baselines use, so a served response and a direct library call are the
-//!   same computation.
+//!   through [`adaptive_search::SolveRequest`], the same audited API a direct
+//!   library call uses, so a served response and that call are the same
+//!   computation.
 //! * [`connection`] — pumping one byte stream (stdin or a TCP socket) through
 //!   a service: reader thread submits, writer thread emits responses in
 //!   completion order, with a per-line byte cap and (TCP) read timeout.

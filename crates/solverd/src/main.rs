@@ -107,6 +107,11 @@ fn serve_tcp(addr: &str, config: ServiceConfig) -> std::io::Result<()> {
         if let Err(e) = stream.set_read_timeout(service.config().read_timeout) {
             eprintln!("solverd: set_read_timeout failed: {e}");
         }
+        // Responses are small, one write each: send them at once rather than
+        // waiting on the client's ACK of the previous one.
+        if let Err(e) = stream.set_nodelay(true) {
+            eprintln!("solverd: set_nodelay failed: {e}");
+        }
         let service = Arc::clone(&service);
         std::thread::spawn(move || {
             let reader = match stream.try_clone() {

@@ -37,9 +37,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use adaptive_search::problems;
-use adaptive_search::request::{SolveOutcome, SolveRequest, Termination};
+use adaptive_search::request::{remaining_deadline, SolveOutcome, SolveRequest, Termination};
 use adaptive_search::CancelToken;
-use multiwalk::{ThreadRunner, WalkSpec};
+use multiwalk::{RunControls, ThreadRunner, WalkSpec};
 
 use crate::proto::{self, OkMeta, Reject, RejectReason, WireMessage, WireRequest};
 
@@ -398,14 +398,7 @@ fn execute(
         return proto::render_ok(&meta(0, None), &outcome);
     }
     // Deadline spent entirely in the queue: same.
-    let remaining = match deadline {
-        Some(at) => match at.checked_duration_since(Instant::now()) {
-            Some(left) if !left.is_zero() => Some(Some(left)),
-            _ => None,
-        },
-        None => Some(None),
-    };
-    let Some(remaining) = remaining else {
+    let Some(remaining) = remaining_deadline(deadline) else {
         let outcome = no_work_outcome(&wire.request, Termination::DeadlineExpired);
         return proto::render_ok(&meta(0, None), &outcome);
     };
@@ -486,7 +479,12 @@ fn run_fanout(
     let spec = WalkSpec::from_request(request)?;
     let info = problems::find(&request.problem).expect("from_request resolved the key");
     let runner = ThreadRunner::new(spec, walks);
-    let result = runner.run_with_controls(request.seed, deadline, Some(cancel));
+    let controls = RunControls {
+        deadline,
+        cancel: Some(cancel.clone()),
+        replay: false,
+    };
+    let result = runner.run(request.seed, &controls);
     let all_panicked = result.panicked_walks() == walks;
 
     let mut stats = adaptive_search::SearchStats::default();

@@ -5,6 +5,7 @@ use std::io::{BufReader, Read};
 use std::sync::mpsc;
 use std::time::Duration;
 
+use adaptive_search::SolveRequest;
 use runtime_stats::json::Json;
 use solverd::{serve_connection, Service, ServiceConfig};
 
@@ -251,10 +252,10 @@ fn warm_start_through_the_protocol_is_adopted() {
 }
 
 /// The determinism contract: the same request with the same seed yields a
-/// bit-identical outcome through the service path and the direct
-/// `solve_registry` path (which is itself a `SolveRequest::run` wrapper).
+/// bit-identical outcome through the service path and a direct
+/// `SolveRequest::run` call.
 #[test]
-fn service_path_matches_direct_solve_registry_bit_for_bit() {
+fn service_path_matches_direct_solve_request_bit_for_bit() {
     let service = Service::start(ServiceConfig {
         workers: 2,
         queue_capacity: 16,
@@ -284,24 +285,25 @@ fn service_path_matches_direct_solve_registry_bit_for_bit() {
     assert_eq!(responses.len(), cases.len());
 
     for (i, (problem, n, seed, budget)) in cases.iter().enumerate() {
-        let direct =
-            baselines::solve_registry(problem, *n, *seed, &baselines::SolverBudget::moves(*budget))
-                .expect("registered key");
+        let direct = SolveRequest::new(*problem, *n, *seed)
+            .with_budget(*budget)
+            .run()
+            .expect("registered key");
         let served = by_id(&responses, &format!("c{i}"));
         assert_eq!(field(served, "status"), "ok", "{problem}");
         assert_eq!(
             field(served, "termination") == "solved",
-            direct.solved,
+            direct.is_solved(),
             "{problem}: solved-ness must agree"
         );
         assert_eq!(
             served.get("iterations").and_then(Json::as_u64),
-            Some(direct.moves),
+            Some(direct.stats.iterations),
             "{problem}: iteration counts must agree bit-for-bit"
         );
         assert_eq!(
             served.get("restarts").and_then(Json::as_u64),
-            Some(direct.restarts),
+            Some(direct.stats.restarts + direct.stats.resets),
             "{problem}: restart counts must agree"
         );
         let served_solution = served.get("solution").and_then(Json::as_array).map(|a| {

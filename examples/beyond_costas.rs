@@ -15,7 +15,7 @@
 use costas_lab::adaptive_search::{
     all_interval::AllIntervalProblem, langford::LangfordProblem, magic_square::MagicSquareProblem,
     partition::PartitionProblem, problems, queens::QueensProblem, AsConfig, Engine,
-    PermutationProblem,
+    PermutationProblem, SolveRequest,
 };
 
 fn solve_and_report<P: PermutationProblem>(problem: P, label: &str, seed: u64) -> Vec<usize> {
@@ -80,7 +80,9 @@ fn main() {
     assert_eq!(a.iter().sum::<usize>(), b.iter().sum::<usize>());
 
     // And the Costas Array Problem itself, for completeness.
-    let costas = costas_lab::prelude::solve_costas(13, 4);
+    let costas = SolveRequest::new("costas", 13, 4)
+        .run()
+        .expect("costas is a registry key");
     println!(
         "{:<22} solved in {:>8} iterations ({:>6} local minima, {:.3} s)",
         "Costas (n=13)",

@@ -21,7 +21,9 @@ fn main() {
     println!("=== Costas Array Problem, order {order} ===\n");
 
     // 1. Sequential Adaptive Search.
-    let result = solve_costas(order, seed);
+    let result = SolveRequest::new("costas", order, seed)
+        .run()
+        .expect("costas is a registry key");
     let solution = result
         .solution
         .clone()
@@ -47,7 +49,7 @@ fn main() {
         .map(|p| p.get())
         .unwrap_or(2)
         .max(2);
-    let job = ThreadRunner::new(WalkSpec::costas(order), walks).run(seed);
+    let job = ThreadRunner::new(WalkSpec::costas(order), walks).run(seed, &RunControls::default());
     println!("Independent multi-walk ({walks} walks)");
     println!("  winner walk     : {:?}", job.winner);
     println!("  winner iterations: {:?}", job.winner_iterations());

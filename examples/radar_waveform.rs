@@ -60,7 +60,9 @@ fn main() {
     println!("=== Frequency-hop schedule for a {pulses}-pulse radar waveform ===\n");
 
     // Solve the CAP: column = time slot, value = frequency bin.
-    let result = solve_costas(pulses, 7);
+    let result = SolveRequest::new("costas", pulses, 7)
+        .run()
+        .expect("costas is a registry key");
     let schedule = result.solution.expect("Adaptive Search finds a schedule");
     println!("Costas hop schedule (time slot -> frequency bin):");
     for (slot, freq) in schedule.iter().enumerate() {

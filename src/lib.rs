@@ -24,13 +24,13 @@
 //! use costas_lab::prelude::*;
 //!
 //! // Solve CAP 12 with the paper's sequential Adaptive Search configuration.
-//! let result = solve_costas(12, 42);
+//! let result = SolveRequest::new("costas", 12, 42).run().expect("registered key");
 //! assert!(result.is_solved());
 //! let solution = result.solution.unwrap();
 //! assert!(is_costas_permutation(&solution));
 //!
 //! // Or run an independent multi-walk job across 4 walks (first solution wins).
-//! let job = ThreadRunner::new(WalkSpec::costas(12), 4).run(42);
+//! let job = ThreadRunner::new(WalkSpec::costas(12), 4).run(42, &RunControls::default());
 //! assert!(job.solved());
 //!
 //! // Or let the walks cooperate (elite exchange + coordinated restarts) on the
@@ -52,9 +52,9 @@ pub use xrand;
 /// The most common imports, for examples and quick experiments.
 pub mod prelude {
     pub use adaptive_search::{
-        problems, solve_costas, AsConfig, CostasModelConfig, CostasProblem, DynProblem, Engine,
-        PermutationProblem, ProblemInfo, SearchStats, SequentialDriver, SolveOutcome, SolveRequest,
-        SolveResult, SolveStatus, Termination, TieBreak,
+        problems, AsConfig, CostasModelConfig, CostasProblem, DynProblem, Engine,
+        PermutationProblem, ProblemInfo, SearchStats, SolveOutcome, SolveRequest, SolveResult,
+        SolveStatus, Termination, TieBreak,
     };
     pub use costas::{
         golomb_construction, is_costas_permutation, welch_construction, CostasArray,
@@ -62,7 +62,7 @@ pub mod prelude {
     };
     pub use multiwalk::{
         CoopConfig, CoopResult, CooperativeRunner, MpiRunner, MultiWalkResult, PlatformProfile,
-        SimulatedRun, ThreadRunner, VirtualCluster, WalkSpec,
+        RunControls, SimulatedRun, ThreadRunner, VirtualCluster, WalkSpec,
     };
     pub use runtime_stats::{BatchStats, Series, ShiftedExponential, TimeToTarget};
     pub use xrand::{default_rng, ChaoticSeeder, RandExt, SeedSequence};
@@ -74,7 +74,7 @@ mod tests {
 
     #[test]
     fn prelude_types_compose() {
-        let result = solve_costas(10, 7);
+        let result = SolveRequest::new("costas", 10, 7).run().unwrap();
         assert!(result.is_solved());
         let triangle = DifferenceTriangle::new(&result.solution.unwrap());
         assert!(triangle.is_costas());

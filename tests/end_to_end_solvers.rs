@@ -5,13 +5,20 @@
 //! on known-solvable instances and bit-identical deterministic replay.
 
 use adaptive_search::{problems, AsConfig, Engine};
-use baselines::{all_solvers, solve_registry, SolverBudget};
+use baselines::{all_solvers, SolverBudget};
 use costas_lab::prelude::*;
+
+/// One sequential Costas solve with the paper's configuration and no iteration cap.
+fn costas_request(n: usize, seed: u64) -> SolveOutcome {
+    SolveRequest::new("costas", n, seed)
+        .run()
+        .expect("costas is a registry key")
+}
 
 #[test]
 fn sequential_adaptive_search_solves_and_validates() {
     for n in [8usize, 11, 13] {
-        let result = solve_costas(n, 1234 + n as u64);
+        let result = costas_request(n, 1234 + n as u64);
         assert!(result.is_solved(), "n = {n}");
         let solution = result.solution.unwrap();
         assert!(is_costas_permutation(&solution), "n = {n}");
@@ -46,7 +53,7 @@ fn search_solutions_are_members_of_the_enumerated_set() {
         costas_lab::costas::known_costas_count(9).unwrap()
     );
     for seed in 0..5u64 {
-        let result = solve_costas(9, seed);
+        let result = costas_request(9, seed);
         let solution = result.solution.unwrap();
         assert!(all.contains(&solution), "seed {seed}: {solution:?}");
     }
@@ -60,7 +67,7 @@ fn constructions_and_search_produce_equally_valid_arrays() {
     let golomb = golomb_construction(11).unwrap();
     assert!(is_costas_permutation(welch.values()));
     assert!(is_costas_permutation(golomb.values()));
-    let searched = solve_costas(12, 5).solution.unwrap();
+    let searched = costas_request(12, 5).solution.unwrap();
     assert!(is_costas_permutation(&searched));
 }
 
@@ -115,17 +122,30 @@ fn walk_fingerprint<P: adaptive_search::PermutationProblem>(
     engine: &Engine<P>,
     result: &adaptive_search::SolveResult,
 ) -> u64 {
-    use adaptive_search::SolveStatus;
-    let s = &result.stats;
     let mut words = vec![
-        match result.status {
-            SolveStatus::Solved => 0,
-            SolveStatus::IterationLimit => 1,
-            SolveStatus::ExternallyStopped => 2,
-            SolveStatus::Panicked => 3,
-        },
+        status_word(result.status),
         result.final_cost,
         result.best_cost,
+    ];
+    words.extend(stats_words(&result.stats));
+    words.extend(solution_words(result.solution.as_deref()));
+    words.extend(engine.problem().configuration().iter().map(|&v| v as u64));
+    fnv1a(words)
+}
+
+fn status_word(status: adaptive_search::SolveStatus) -> u64 {
+    use adaptive_search::SolveStatus;
+    match status {
+        SolveStatus::Solved => 0,
+        SolveStatus::IterationLimit => 1,
+        SolveStatus::ExternallyStopped => 2,
+        SolveStatus::Panicked => 3,
+    }
+}
+
+/// Every stats counter, in declaration order.
+fn stats_words(s: &SearchStats) -> [u64; 14] {
+    [
         s.iterations,
         s.local_minima,
         s.improving_moves,
@@ -140,16 +160,17 @@ fn walk_fingerprint<P: adaptive_search::PermutationProblem>(
         s.injections_adopted,
         s.stop_checks,
         s.culprit_scans,
-    ];
-    match &result.solution {
-        None => words.push(u64::MAX),
-        Some(sol) => {
-            words.push(sol.len() as u64);
-            words.extend(sol.iter().map(|&v| v as u64));
-        }
+    ]
+}
+
+/// A solution as its length then its values; `u64::MAX` when there is none.
+fn solution_words(solution: Option<&[usize]>) -> Vec<u64> {
+    match solution {
+        None => vec![u64::MAX],
+        Some(sol) => std::iter::once(sol.len() as u64)
+            .chain(sol.iter().map(|&v| v as u64))
+            .collect(),
     }
-    words.extend(engine.problem().configuration().iter().map(|&v| v as u64));
-    fnv1a(words)
 }
 
 /// Cross-commit replay pin: the fingerprint of a 2 000-step walk per registry
@@ -217,14 +238,10 @@ fn replay_fingerprints_match_recorded_constants() {
 fn registry_workloads_solve_their_known_solvable_instances() {
     for info in problems::registry() {
         for &size in info.solvable_sizes {
-            let result = solve_registry(
-                info.key,
-                size,
-                2024 + size as u64,
-                &SolverBudget::unlimited(),
-            )
-            .expect("registered key");
-            assert!(result.solved, "{} (size {size})", info.key);
+            let result = SolveRequest::new(info.key, size, 2024 + size as u64)
+                .run()
+                .expect("registered key");
+            assert!(result.is_solved(), "{} (size {size})", info.key);
             assert!(
                 (info.is_optimum)(result.solution.as_ref().unwrap()),
                 "{} (size {size}): claimed solution fails the optimum predicate",
@@ -234,21 +251,26 @@ fn registry_workloads_solve_their_known_solvable_instances() {
     }
 }
 
+const REPLAY: RunControls = RunControls {
+    deadline: None,
+    cancel: None,
+    replay: true,
+};
+
 /// Determinism regression for the thread-backed multi-walk runner: the same
 /// master seed and thread count reproduce the identical winning permutation and
 /// identical per-walk statistics, run after run.  This is the property the
 /// strong-scaling harness (`bench::scaling`) leans on — its cells are labelled
 /// by `(model, threads, seed)` and must mean the same walks on every host —
-/// and it only holds for `run_deterministic`: the racy `run` path elects
-/// whichever solver reaches the winner mutex first.
+/// and it only holds with `RunControls::replay`: in a race, how far the losing
+/// walks get before they see the stop flag depends on OS scheduling.
 #[test]
 fn thread_runner_is_deterministic_for_fixed_seed_and_thread_count() {
-    use multiwalk::{ThreadRunner, WalkSpec};
     for workers in [1usize, 2, 4] {
         let spec = WalkSpec::costas(11);
         let runner = ThreadRunner::new(spec, workers);
-        let a = runner.run_deterministic(0xC057_A512);
-        let b = runner.run_deterministic(0xC057_A512);
+        let a = runner.run(0xC057_A512, &REPLAY);
+        let b = runner.run(0xC057_A512, &REPLAY);
         assert!(a.solved(), "{workers} workers");
         assert_eq!(a.winner, b.winner, "{workers} workers");
         assert_eq!(a.solution, b.solution, "{workers} workers");
@@ -260,9 +282,49 @@ fn thread_runner_is_deterministic_for_fixed_seed_and_thread_count() {
     }
 }
 
+/// Cross-commit replay pin for replay-mode thread jobs: an FNV-1a fingerprint
+/// of the winner, its solution and every walk's status and stats counters at
+/// 1, 2 and 4 workers, recorded before `ThreadRunner` had a single `run`.
+#[test]
+fn thread_runner_replay_fingerprints_match_recorded_constants() {
+    const PINNED: [(usize, u64); 3] = [
+        (1, 0xd07e_8f48_198c_1f07),
+        (2, 0x4376_0e70_c284_e3a7),
+        (4, 0xb6f9_0699_f3f5_0570),
+    ];
+    for (workers, pinned) in PINNED {
+        let job = ThreadRunner::new(WalkSpec::costas(11), workers).run(0xC057_A512, &REPLAY);
+        let mut words = vec![job.winner.map_or(u64::MAX, |w| w as u64)];
+        words.extend(solution_words(job.solution.as_deref()));
+        for walk in &job.walk_results {
+            words.push(status_word(walk.status));
+            words.extend(stats_words(&walk.stats));
+        }
+        let observed = fnv1a(words);
+        assert_eq!(
+            observed, pinned,
+            "{workers} workers: observed {observed:#018x}"
+        );
+    }
+}
+
+/// Cross-commit replay pin for the Table I protocol: an FNV-1a fingerprint
+/// over every run's solution and stats counters, recorded before the batch ran
+/// through `SolveRequest`.
+#[test]
+fn sequential_batch_fingerprint_matches_recorded_constant() {
+    let mut words = Vec::new();
+    for run in bench::protocol::sequential_batch(10, 8, 3) {
+        words.extend(solution_words(run.solution.as_deref()));
+        words.extend(stats_words(&run.stats));
+    }
+    let observed = fnv1a(words);
+    assert_eq!(observed, 0xd205_4be1_3bb7_dd10, "observed {observed:#018x}");
+}
+
 #[test]
 fn solver_statistics_are_consistent_with_solving() {
-    let result = solve_costas(14, 99);
+    let result = costas_request(14, 99);
     assert!(result.is_solved());
     assert_eq!(result.final_cost, 0);
     assert_eq!(result.best_cost, 0);

@@ -3,13 +3,14 @@
 //! solver on what a solution is, and the min-of-K law must show up in the virtual
 //! clock.
 
+use bench::protocol::{iteration_samples, sequential_batch};
 use costas_lab::prelude::*;
 
 #[test]
 fn thread_and_mpi_runners_both_solve_and_validate() {
     let spec = WalkSpec::costas(11);
 
-    let threaded = ThreadRunner::new(spec.clone(), 3).run(21);
+    let threaded = ThreadRunner::new(spec.clone(), 3).run(21, &RunControls::default());
     assert!(threaded.solved());
     assert!(is_costas_permutation(threaded.solution.as_ref().unwrap()));
     assert_eq!(threaded.walk_results.len(), 3);
@@ -54,9 +55,7 @@ fn sampled_and_exact_modes_agree_on_ordering() {
     // Build an empirical sample from sequential runs, then check that the sampled
     // simulator produces completion iterations within the range of the sample and
     // decreasing in the core count.
-    let driver = SequentialDriver::new(10);
-    let seq = driver.run_many(12, 5);
-    let samples: Vec<u64> = seq.iter().map(|r| r.stats.iterations).collect();
+    let samples = iteration_samples(&sequential_batch(10, 12, 5));
     let lo = *samples.iter().min().unwrap();
     let hi = *samples.iter().max().unwrap();
 
@@ -95,8 +94,7 @@ fn chaotic_seeding_makes_walks_diverge() {
 fn runtime_distribution_analysis_pipeline_runs_on_real_data() {
     // Sequential sample → TTT curve → exponential fit → predicted speed-up, all on
     // real solver output (small instance so the test stays fast).
-    let driver = SequentialDriver::new(12);
-    let results = driver.run_many(30, 11);
+    let results = sequential_batch(12, 30, 11);
     let iters: Vec<f64> = results.iter().map(|r| r.stats.iterations as f64).collect();
     let ttt = TimeToTarget::from_sample("cap12", &iters);
     assert_eq!(ttt.points.len(), 30);

@@ -12,7 +12,7 @@ proptest! {
     /// independent oracle accepts, and its reported cost is zero.
     #[test]
     fn solver_output_is_always_a_costas_array(seed in any::<u64>(), n in 6usize..=12) {
-        let result = solve_costas(n, seed);
+        let result = SolveRequest::new("costas", n, seed).run().unwrap();
         prop_assert!(result.is_solved());
         let solution = result.solution.unwrap();
         prop_assert!(is_costas_permutation(&solution));
@@ -22,8 +22,9 @@ proptest! {
     /// The engine is a pure function of (instance, configuration, seed).
     #[test]
     fn solver_is_deterministic_in_the_seed(seed in any::<u64>(), n in 6usize..=11) {
-        let a = solve_costas(n, seed);
-        let b = solve_costas(n, seed);
+        let request = SolveRequest::new("costas", n, seed);
+        let a = request.run().unwrap();
+        let b = request.run().unwrap();
         prop_assert_eq!(a.solution, b.solution);
         prop_assert_eq!(a.stats.iterations, b.stats.iterations);
         prop_assert_eq!(a.stats.resets, b.stats.resets);
@@ -33,7 +34,7 @@ proptest! {
     /// and small walk count, and the winner index is in range.
     #[test]
     fn multiwalk_jobs_return_valid_winners(seed in any::<u64>(), walks in 1usize..=4) {
-        let job = ThreadRunner::new(WalkSpec::costas(10), walks).run(seed);
+        let job = ThreadRunner::new(WalkSpec::costas(10), walks).run(seed, &RunControls::default());
         prop_assert!(job.solved());
         prop_assert!(job.winner.unwrap() < walks);
         prop_assert!(is_costas_permutation(job.solution.as_ref().unwrap()));
